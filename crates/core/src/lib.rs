@@ -28,8 +28,9 @@
 //!   free-standing observers kept as its differential oracle. Both
 //!   tiers produce byte-identical results.
 //! * [`cache`] — content-addressed on-disk memoization of whole-workload
-//!   results (`instrep-repro --cache-dir`): a hit skips simulation
-//!   entirely and still renders byte-identical tables.
+//!   results and their probe outputs (`instrep-repro --cache-dir`): a
+//!   hit skips simulation entirely and still renders byte-identical
+//!   tables and exports.
 //! * [`report`] — text renderers matching the paper's table layouts.
 //! * [`metrics`] — pull-based observability: phase timers, throughput,
 //!   occupancy gauges, and the versioned JSON documents behind
@@ -104,7 +105,9 @@ pub mod telemetry;
 pub mod trace_span;
 mod tracker;
 
-pub use cache::{AnalysisCache, CacheKey, CACHE_SCHEMA_VERSION, ENTRY_PAYLOAD_OFFSET};
+pub use cache::{
+    AnalysisCache, CacheKey, ProbeSections, ProbeSet, CACHE_SCHEMA_VERSION, ENTRY_PAYLOAD_OFFSET,
+};
 pub use classes::{ClassAnalysis, ClassCounts, InsnClass};
 pub use coverage::Coverage;
 pub use function::{FuncStats, FunctionAnalysis};

@@ -686,7 +686,6 @@ fn run_engine<E: AnalysisEngine>(
         m.gauge("local_load_sites", parts.local.load_sites());
         m.gauge("local_load_values", parts.local.load_values_tracked());
         m.gauge("predict_lvp_entries", parts.lvp_entries);
-        m.gauge("predict_stride_entries", parts.lvp_entries);
         let fp = machine.footprint();
         m.gauge("sim_resident_pages", fp.resident_pages as u64);
         m.gauge("sim_resident_bytes", fp.resident_bytes as u64);

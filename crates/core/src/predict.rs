@@ -211,12 +211,6 @@ impl ValuePredictors {
     pub fn lvp_entries(&self) -> u64 {
         self.entries
     }
-
-    /// Static instructions with a stride entry (occupancy gauge; fills
-    /// on the same events as the last-value half).
-    pub fn stride_entries(&self) -> u64 {
-        self.entries
-    }
 }
 
 #[cfg(test)]
@@ -275,7 +269,6 @@ mod tests {
         assert!(!lvp(&mut p, &ev(1, 1, Some(5)), false)); // different pc
         assert!(lvp(&mut p, &ev(1, 1, Some(5)), true));
         assert_eq!(p.lvp_entries(), 2);
-        assert_eq!(p.stride_entries(), 2);
     }
 
     #[test]

@@ -172,6 +172,21 @@ impl InstructionProfile {
             .collect();
     }
 
+    /// The per-site statistics the profile was filled from — the
+    /// inverse of the join in [`InstructionProfile::fill`], which is
+    /// all the analysis cache stores of a profile.
+    pub(crate) fn static_stats(&self) -> Vec<crate::tracker::StaticStats> {
+        self.sites
+            .iter()
+            .map(|s| crate::tracker::StaticStats {
+                index: s.index,
+                exec: s.exec,
+                repeated: s.repeated,
+                unique_repeatable: s.unique_repeatable,
+            })
+            .collect()
+    }
+
     /// Dynamic executions summed over all sites. Equals the tracker's
     /// `dynamic_total` (every measured instruction hits exactly one
     /// site).

@@ -90,9 +90,11 @@ pub struct Request {
     /// nondeterministic, so this payload is excluded from byte-identity
     /// guarantees).
     pub want_metrics: bool,
-    /// Also return a per-PC profile summary (bypasses the cache).
+    /// Also return a per-PC profile summary (cached with the report,
+    /// in an entry of its own).
     pub want_profile: bool,
-    /// Also return a loop-nest profile summary (bypasses the cache).
+    /// Also return a loop-nest profile summary (cached with the report,
+    /// in an entry of its own).
     pub want_loops: bool,
 }
 

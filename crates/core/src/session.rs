@@ -51,15 +51,21 @@
 //! normally and populate the cache. [`Session::cache_verify`] turns
 //! hits into recompute-and-compare runs — the poisoned-cache detector.
 //!
-//! Interval sampling and profiling *bypass* the cache (outcome
-//! [`CacheOutcome::Uncached`]): entries store only the report, and a
-//! hit that silently dropped the requested time series or profile
-//! would be worse than a recomputation.
+//! The probe outputs are cached too. The key includes the
+//! [`ProbeSet`](crate::ProbeSet) — profile on/off, loops on/off, the
+//! interval period — so a probe run and a plain run of the same job are
+//! separate entries, and a probe entry stores the profile's per-site
+//! counters, the loop-nest profile, and the interval windows after the
+//! report. A hit returns them byte-identical to a fresh run's; the
+//! profile is rebuilt from its counters and the image by the same join
+//! the pipeline uses. Only a partial
+//! [`split_observers`](Session::split_observers) mask bypasses the
+//! cache (outcome [`CacheOutcome::Uncached`]).
 
 use instrep_asm::Image;
 use instrep_sim::{InterpTier, SimError};
 
-use crate::cache::{encode_report, AnalysisCache, CacheKey};
+use crate::cache::{encode_entry, AnalysisCache, CacheKey, ProbeSections, ProbeSet};
 use crate::fused::{AnalysisTier, SplitObservers};
 use crate::interval::IntervalSampler;
 use crate::loops::LoopProfiler;
@@ -74,8 +80,8 @@ use crate::trace_span::{SpanLane, SpanTracer};
 /// How the analysis cache participated in producing one job's report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// No cache attached, or the probe set bypassed it (see the module
-    /// docs).
+    /// No cache attached, or a partial observer mask bypassed it (see
+    /// the module docs).
     Uncached,
     /// Cache attached, no usable entry: the job ran and stored one.
     Miss,
@@ -100,9 +106,7 @@ pub struct Session<'t> {
     cfg: AnalysisConfig,
     threads: usize,
     metrics: bool,
-    interval: Option<u64>,
-    profile: bool,
-    loops: bool,
+    probes: ProbeSet,
     tracer: Option<&'t mut SpanTracer>,
     cache: Option<&'t AnalysisCache>,
     telemetry: Option<&'t TelemetryRegistry>,
@@ -119,9 +123,7 @@ impl<'t> Session<'t> {
             cfg,
             threads: 1,
             metrics: false,
-            interval: None,
-            profile: false,
-            loops: false,
+            probes: ProbeSet::default(),
             tracer: None,
             cache: None,
             telemetry: None,
@@ -179,24 +181,25 @@ impl<'t> Session<'t> {
     }
 
     /// Sample an interval time series per job, closing a window every
-    /// `insns` measured instructions. Bypasses the cache.
+    /// `insns` measured instructions. Cached with the report, under a
+    /// key that includes the period.
     pub fn interval(mut self, insns: u64) -> Session<'t> {
-        self.interval = Some(insns);
+        self.probes.interval = Some(insns);
         self
     }
 
     /// Fill an [`InstructionProfile`] per job (per-PC attribution).
-    /// Bypasses the cache.
+    /// Cached with the report.
     pub fn profile(mut self, on: bool) -> Session<'t> {
-        self.profile = on;
+        self.probes.profile = on;
         self
     }
 
     /// Fill a [`LoopNestProfile`](crate::LoopNestProfile) per job —
     /// dynamic loop detection from back edges with exec/repeated
-    /// attribution per loop nest. Bypasses the cache.
+    /// attribution per loop nest. Cached with the report.
     pub fn loops(mut self, on: bool) -> Session<'t> {
-        self.loops = on;
+        self.probes.loops = on;
         self
     }
 
@@ -250,9 +253,7 @@ impl<'t> Session<'t> {
             cfg,
             threads,
             metrics,
-            interval,
-            profile,
-            loops,
+            probes,
             mut tracer,
             cache,
             telemetry,
@@ -261,16 +262,10 @@ impl<'t> Session<'t> {
             analysis,
             observers,
         } = self;
-        // Entries store only the report; serving a hit that silently
-        // dropped a requested time series or profile would be wrong, so
-        // those probe sets bypass the cache entirely. So does a partial
-        // observer mask: its zeroed report must neither be stored under
-        // nor served for the full-analysis key.
-        let cache = if interval.is_some() || profile || loops || !observers.is_all() {
-            None
-        } else {
-            cache
-        };
+        // A partial observer mask bypasses the cache: its zeroed report
+        // must neither be stored under nor served for the full-analysis
+        // key. Probe outputs are part of the key and of the entry.
+        let cache = cache.filter(|_| observers.is_all());
         let epoch = tracer.as_ref().map(|t| t.epoch());
 
         // Telemetry handles, interned up front (one mutex pass): one
@@ -286,7 +281,7 @@ impl<'t> Session<'t> {
         let verify_mismatch = telemetry.map(|r| r.counter("cache_verify_mismatch"));
         // Loop-profiler instruments, registered only when the probe is
         // on so an off run leaves no zero-valued ghosts in expositions.
-        let loop_tel = telemetry.filter(|_| loops).map(|r| {
+        let loop_tel = telemetry.filter(|_| probes.loops).map(|r| {
             (
                 r.counter("loops_discovered"),
                 r.counter("loops_back_edges"),
@@ -318,8 +313,8 @@ impl<'t> Session<'t> {
                 let timer = m.as_ref().map(|_| PhaseTimer::start());
                 let span = lane.as_mut().map(|l| l.begin());
                 let lt = tel.map(|t| t.begin(LanePhase::Cache));
-                let k = CacheKey::derive(job.image, &job.input, &cfg);
-                cached = cache.load(&k);
+                let k = CacheKey::derive_probed(job.image, &job.input, &cfg, probes);
+                cached = cache.load_entry(&k, probes);
                 key = Some(k);
                 if let Some(m) = m.as_mut() {
                     m.record_phase("cache", timer.expect("timer started with metrics"), 0);
@@ -332,9 +327,10 @@ impl<'t> Session<'t> {
                 }
             }
 
-            if let Some(report) = cached.take_if(|_| !verify) {
-                // Pure hit: the stored report stands in for the whole
-                // simulation — zero instructions execute.
+            if let Some((report, sections)) = cached.take_if(|_| !verify) {
+                // Pure hit: the stored entry stands in for the whole
+                // simulation — zero instructions execute (so no loop
+                // telemetry is published either).
                 if let Some(l) = lane.as_mut() {
                     l.end(job_span.expect("span opened with lane"), label, "workload", 0);
                 }
@@ -346,20 +342,25 @@ impl<'t> Session<'t> {
                 if let Some(c) = &runs_finished {
                     c.inc();
                 }
+                let profile = sections.profile.map(|stats| {
+                    let mut p = InstructionProfile::default();
+                    p.fill_from_stats(job.image, &stats);
+                    p
+                });
                 let instrumented = InstrumentedReport {
                     report,
                     metrics: m,
-                    intervals: None,
-                    profile: None,
-                    loops: None,
+                    intervals: sections.intervals,
+                    profile,
+                    loops: sections.loops,
                     cache: CacheOutcome::Hit,
                 };
                 return (Ok(instrumented), lane.map(SpanLane::into_spans));
             }
 
-            let mut sampler = interval.map(IntervalSampler::new);
-            let mut prof = profile.then(InstructionProfile::default);
-            let mut lp = loops.then(|| LoopProfiler::new(job.image.text.len()));
+            let mut sampler = probes.interval.map(IntervalSampler::new);
+            let mut prof = probes.profile.then(InstructionProfile::default);
+            let mut lp = probes.loops.then(|| LoopProfiler::new(job.image.text.len()));
             let result = run_probed(
                 job.image,
                 job.input,
@@ -385,12 +386,21 @@ impl<'t> Session<'t> {
                 max_depth.set_max(u64::from(p.max_depth()));
             }
 
+            let mut sections = ProbeSections {
+                profile: None,
+                loops: lp.map(LoopProfiler::finish),
+                intervals: sampler.map(IntervalSampler::into_windows),
+            };
             let mut outcome = CacheOutcome::Uncached;
             if let (Some(cache), Some(key), Ok(report)) = (cache, key.as_ref(), &result) {
+                sections.profile = prof.as_ref().map(InstructionProfile::static_stats);
                 outcome = match cached {
                     // Verified hit: canonical encodings are equal iff
-                    // every report field is.
-                    Some(prior) if encode_report(&prior) == encode_report(report) => {
+                    // every report field and probe section is.
+                    Some((prior, prior_sections))
+                        if encode_entry(&prior, &prior_sections)
+                            == encode_entry(report, &sections) =>
+                    {
                         if let Some(c) = &verify_ok {
                             c.inc();
                         }
@@ -405,7 +415,7 @@ impl<'t> Session<'t> {
                     None => {
                         // Best-effort store: a full disk costs us the
                         // memoization, not the run.
-                        let _ = cache.store(key, report);
+                        let _ = cache.store_entry(key, report, &sections);
                         CacheOutcome::Miss
                     }
                 };
@@ -426,9 +436,9 @@ impl<'t> Session<'t> {
             let instrumented = result.map(|report| InstrumentedReport {
                 report,
                 metrics: m,
-                intervals: sampler.map(IntervalSampler::into_windows),
+                intervals: sections.intervals,
                 profile: prof,
-                loops: lp.map(LoopProfiler::finish),
+                loops: sections.loops,
                 cache: outcome,
             });
             (instrumented, spans)
@@ -668,26 +678,129 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Three programs with distinct images, so a batch of them never
+    /// shares a key (and every job of a cold batch misses).
+    fn distinct_images() -> Vec<Image> {
+        [300, 400, 500]
+            .iter()
+            .map(|n| {
+                build(&format!(
+                    "int sq(int x) {{ return x * x; }}
+                     int main() {{
+                         int i; int j; int s = 0;
+                         for (i = 0; i < {n}; i++)
+                             for (j = 0; j < 3; j++) s += sq(i & 7) + j;
+                         return s & 0xff;
+                     }}"
+                ))
+                .unwrap()
+            })
+            .collect()
+    }
+
+    fn with_probes(s: Session<'_>, probes: ProbeSet) -> Session<'_> {
+        let s = s.profile(probes.profile).loops(probes.loops);
+        match probes.interval {
+            Some(n) => s.interval(n),
+            None => s,
+        }
+    }
+
     #[test]
-    fn interval_and_profile_probes_bypass_the_cache() {
-        let (dir, cache) = tmp_cache("bypass");
+    fn probe_outputs_are_cached_per_probe_set() {
+        let images = distinct_images();
+        let cfg = AnalysisConfig::default();
+        let jobs = || -> Vec<AnalysisJob<'_>> {
+            images.iter().map(|image| AnalysisJob { image, input: Vec::new(), label: "" }).collect()
+        };
+        let sets = [
+            ProbeSet { profile: true, loops: false, interval: None },
+            ProbeSet { profile: false, loops: true, interval: None },
+            ProbeSet { profile: false, loops: false, interval: Some(700) },
+            ProbeSet { profile: true, loops: true, interval: Some(700) },
+        ];
+        for probes in sets {
+            let uncached: Vec<InstrumentedReport> = with_probes(Session::new(cfg), probes)
+                .run(jobs())
+                .into_iter()
+                .map(Result::unwrap)
+                .collect();
+            for threads in [1, 4] {
+                let (dir, cache) = tmp_cache(&format!("probes-{threads}"));
+                for expect in [CacheOutcome::Miss, CacheOutcome::Hit] {
+                    let runs = with_probes(Session::new(cfg).jobs(threads).cache(&cache), probes)
+                        .run(jobs());
+                    for (ir, fresh) in runs.into_iter().map(Result::unwrap).zip(&uncached) {
+                        let at = format!("{probes:?} threads={threads} {expect:?}");
+                        assert_eq!(ir.cache, expect, "{at}");
+                        assert_eq!(format!("{:?}", ir.report), format!("{:?}", fresh.report));
+                        assert_eq!(ir.profile, fresh.profile, "{at}");
+                        assert_eq!(ir.loops, fresh.loops, "{at}");
+                        assert_eq!(ir.intervals, fresh.intervals, "{at}");
+                        assert_eq!(ir.profile.is_some(), probes.profile, "{at}");
+                        assert_eq!(ir.loops.is_some(), probes.loops, "{at}");
+                        assert_eq!(ir.intervals.is_some(), probes.interval.is_some(), "{at}");
+                    }
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn plain_and_probe_entries_are_distinct_keys() {
+        let (dir, cache) = tmp_cache("distinct");
         let image = small_image();
         let cfg = AnalysisConfig::default();
-        // Prime the cache so a lookup *would* hit.
-        Session::new(cfg).cache(&cache).run_one(&image, Vec::new()).unwrap();
+        let run = |probes: ProbeSet| {
+            with_probes(Session::new(cfg).cache(&cache), probes)
+                .run_one(&image, Vec::new())
+                .unwrap()
+        };
+        let plain = ProbeSet::default();
+        let profiled = ProbeSet { profile: true, ..plain };
+        assert_eq!(run(plain).cache, CacheOutcome::Miss);
+        // A stored plain entry is no hit for a probe request...
+        let cold = run(profiled);
+        assert_eq!(cold.cache, CacheOutcome::Miss);
+        assert!(cold.profile.is_some());
+        // ...nor does the probe entry replace the plain one.
+        let warm = run(plain);
+        assert_eq!(warm.cache, CacheOutcome::Hit);
+        assert!(warm.profile.is_none());
+        assert_eq!(run(profiled).cache, CacheOutcome::Hit);
+        assert_eq!(cache.entries(), 2);
+        assert_ne!(
+            CacheKey::derive(&image, &[], &cfg),
+            CacheKey::derive_probed(&image, &[], &cfg, profiled)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        let ir =
-            Session::new(cfg).cache(&cache).interval(1000).run_one(&image, Vec::new()).unwrap();
-        assert_eq!(ir.cache, CacheOutcome::Uncached);
-        assert!(ir.intervals.is_some());
+    #[test]
+    fn verify_catches_a_poisoned_profile_section() {
+        let (dir, cache) = tmp_cache("verify-profile");
+        let image = small_image();
+        let cfg = AnalysisConfig::default();
+        let probes = ProbeSet { profile: true, ..ProbeSet::default() };
+        let key = CacheKey::derive_probed(&image, &[], &cfg, probes);
+        let session = || Session::new(cfg).profile(true).cache(&cache);
+        let fresh = session().run_one(&image, Vec::new()).unwrap();
+        assert_eq!(fresh.cache, CacheOutcome::Miss);
+        let s = session().cache_verify(true);
+        assert_eq!(s.run_one(&image, Vec::new()).unwrap().cache, CacheOutcome::VerifyOk);
 
-        let ir = Session::new(cfg).cache(&cache).profile(true).run_one(&image, Vec::new()).unwrap();
-        assert_eq!(ir.cache, CacheOutcome::Uncached);
-        assert!(ir.profile.is_some());
-
-        let ir = Session::new(cfg).cache(&cache).loops(true).run_one(&image, Vec::new()).unwrap();
-        assert_eq!(ir.cache, CacheOutcome::Uncached);
-        assert!(ir.loops.is_some());
+        // Poison one site's counter and leave the report alone: the
+        // report-only comparison the cache used to make would pass.
+        let (report, mut sections) = cache.load_entry(&key, probes).unwrap();
+        sections.profile.as_mut().unwrap()[0].repeated += 1;
+        cache.store_entry(&key, &report, &sections).unwrap();
+        let served = session().run_one(&image, Vec::new()).unwrap();
+        assert_eq!(served.cache, CacheOutcome::Hit);
+        assert_ne!(served.profile, fresh.profile, "a plain hit serves the stored profile");
+        let verified = session().cache_verify(true).run_one(&image, Vec::new()).unwrap();
+        assert_eq!(verified.cache, CacheOutcome::VerifyMismatch);
+        assert_eq!(verified.profile, fresh.profile, "verify returns the fresh profile");
         std::fs::remove_dir_all(&dir).ok();
     }
 

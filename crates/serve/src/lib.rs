@@ -34,6 +34,9 @@
 //!   [`TelemetryRegistry`](instrep_core::TelemetryRegistry), so
 //!   `--telemetry-out` and `--heartbeat-out` work exactly as they do in
 //!   `instrep-repro`.
+//! * **Panic isolation.** A panic inside one request's analysis fails
+//!   that request (`analysis_failed`) and bumps `serve_worker_panics`;
+//!   the worker lane keeps serving.
 //! * **Graceful shutdown.** [`Server::shutdown`] (the binary wires
 //!   SIGTERM/ctrl-C to it) stops accepting work, answers late arrivals
 //!   with `shutting_down`, drains everything already queued or running,
@@ -45,10 +48,11 @@
 use std::collections::HashMap;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -114,6 +118,7 @@ struct ServeTelemetry {
     abandoned: Counter,
     shutdown_rejected: Counter,
     connections: Counter,
+    worker_panics: Counter,
     queue_depth: Gauge,
     queue_len: AtomicU64,
     request_ns: Histogram,
@@ -130,6 +135,7 @@ impl ServeTelemetry {
             abandoned: registry.counter("serve_abandoned_results"),
             shutdown_rejected: registry.counter("serve_rejected_shutdown"),
             connections: registry.counter("serve_connections"),
+            worker_panics: registry.counter("serve_worker_panics"),
             queue_depth: registry.gauge("serve_queue_depth"),
             queue_len: AtomicU64::new(0),
             request_ns: registry.histogram("serve_request_ns"),
@@ -530,7 +536,8 @@ fn worker_loop(worker: usize, rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
         };
         lane.set_label(&label);
         let started = Instant::now();
-        let response = process(&item.req, ctx);
+        let response =
+            isolate_panics(item.req.id, &ctx.tel.worker_panics, || process(&item.req, ctx));
         ctx.tel.request_ns.record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         lane.job_done();
         lane.set_label("");
@@ -544,6 +551,44 @@ fn worker_loop(worker: usize, rx: &Mutex<Receiver<WorkItem>>, ctx: &Ctx) {
 
 fn error(id: u64, kind: ErrorKind, message: String) -> Response {
     Response::Error(ServiceError { id, kind, message, retry_after_ms: None })
+}
+
+/// Runs one request's work, turning a panic into an `analysis_failed`
+/// response for request `id` (and one `panics` count) so the worker
+/// lane survives to serve the next request. What a request shares with
+/// others stays consistent when it unwinds: cache entries change only
+/// by atomic rename, telemetry only by atomic updates, and the image
+/// memo is a mutex that recovers from poisoning ([`memo_image`]).
+fn isolate_panics(id: u64, panics: &Counter, work: impl FnOnce() -> Response) -> Response {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        panics.inc();
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("unknown panic payload");
+        error(id, ErrorKind::AnalysisFailed, format!("internal fault: worker panicked: {what}"))
+    })
+}
+
+/// The image memoized under `name`, built by `build` on first use.
+///
+/// The map only ever holds complete `Arc<Image>` inserts, so a panic
+/// while the lock was held (say, inside `build`) leaves it consistent:
+/// the lock is recovered from poisoning rather than failing every later
+/// request.
+fn memo_image<E>(
+    images: &Mutex<HashMap<String, Arc<Image>>>,
+    name: &str,
+    build: impl FnOnce() -> Result<Image, E>,
+) -> Result<Arc<Image>, E> {
+    let mut images = images.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(image) = images.get(name) {
+        return Ok(Arc::clone(image));
+    }
+    let image = Arc::new(build()?);
+    images.insert(name.to_string(), Arc::clone(&image));
+    Ok(image)
 }
 
 /// Runs one request through a fresh [`Session`] against the shared
@@ -562,36 +607,16 @@ fn process(req: &Request, ctx: &Ctx) -> Response {
                     return error(req.id, ErrorKind::BadRequest, format!("unknown scale `{other}`"))
                 }
             };
-            let image = {
-                let mut images = match ctx.images.lock() {
-                    Ok(g) => g,
-                    Err(_) => {
-                        return error(
-                            req.id,
-                            ErrorKind::AnalysisFailed,
-                            "image cache poisoned".to_string(),
-                        )
-                    }
-                };
-                match images.get(name) {
-                    Some(image) => Arc::clone(image),
-                    None => match wl.build() {
-                        Ok(image) => {
-                            let image = Arc::new(image);
-                            images.insert(name.clone(), Arc::clone(&image));
-                            image
-                        }
-                        Err(e) => {
-                            return error(
-                                req.id,
-                                ErrorKind::AnalysisFailed,
-                                format!("workload `{name}` failed to build: {e}"),
-                            )
-                        }
-                    },
+            match memo_image(&ctx.images, name, || wl.build()) {
+                Ok(image) => (image, wl.input(scale, req.seed)),
+                Err(e) => {
+                    return error(
+                        req.id,
+                        ErrorKind::AnalysisFailed,
+                        format!("workload `{name}` failed to build: {e}"),
+                    )
                 }
-            };
-            (image, wl.input(scale, req.seed))
+            }
         }
         RequestSource::Source(minic) => match instrep_minicc::build(minic) {
             Ok(image) => (Arc::new(image), Vec::new()),
@@ -627,5 +652,56 @@ fn process(req: &Request, ctx: &Ctx) -> Response {
             loops: ir.loops.map(|l| loops_json(&l, cfg.top_k)),
         }),
         Err(e) => error(req.id, ErrorKind::AnalysisFailed, format!("simulation trapped: {e}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn isolate_panics_turns_a_panic_into_one_failed_request() {
+        let registry = TelemetryRegistry::new();
+        let panics = registry.counter("serve_worker_panics");
+        let ok = isolate_panics(1, &panics, || error(1, ErrorKind::BadRequest, "fine".into()));
+        assert!(matches!(ok, Response::Error(ServiceError { kind: ErrorKind::BadRequest, .. })));
+        assert_eq!(panics.get(), 0, "a normal return is not a panic");
+
+        for (id, payload) in [(2, "static message"), (3, "formatted message")] {
+            let failed = isolate_panics(id, &panics, || {
+                if id == 2 {
+                    panic!("static message");
+                }
+                panic!("{}", payload.to_string());
+            });
+            match failed {
+                Response::Error(e) => {
+                    assert_eq!(e.id, id);
+                    assert_eq!(e.kind, ErrorKind::AnalysisFailed);
+                    assert!(e.message.contains(payload), "message: {}", e.message);
+                }
+                other => panic!("expected analysis_failed, got {other:?}"),
+            }
+        }
+        assert_eq!(panics.get(), 2);
+    }
+
+    #[test]
+    fn a_panicking_image_build_does_not_poison_later_requests() {
+        let images = Mutex::new(HashMap::new());
+        let panics = TelemetryRegistry::new().counter("serve_worker_panics");
+        let failed = isolate_panics(1, &panics, || {
+            let _ = memo_image::<String>(&images, "w", || panic!("build blew up"));
+            unreachable!("the build panicked")
+        });
+        assert!(matches!(failed, Response::Error(ServiceError { id: 1, .. })));
+        assert!(images.is_poisoned(), "the panic unwound through the held lock");
+
+        let build = || instrep_minicc::build("int main() { return 3; }");
+        let first = memo_image(&images, "w", build).expect("the next request builds");
+        let again = memo_image(&images, "w", || -> Result<Image, String> {
+            unreachable!("a memoized image is not rebuilt")
+        });
+        assert!(Arc::ptr_eq(&first, &again.unwrap()));
     }
 }

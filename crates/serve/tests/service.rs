@@ -12,10 +12,14 @@ mod util;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use instrep_core::service::{ErrorKind, Request, Response};
+use instrep_core::service::{
+    loops_json, profile_json, report_json, scale_windows, ErrorKind, ReportPayload, Request,
+    Response,
+};
 use instrep_core::telemetry::render_prometheus;
-use instrep_core::{CacheOutcome, TelemetryRegistry};
+use instrep_core::{AnalysisConfig, CacheOutcome, Session, TelemetryRegistry};
 use instrep_serve::{ServeConfig, Server, RETRY_AFTER_MS};
+use instrep_workloads::Scale;
 use util::{scratch_dir, socket_path, Client, FAST_SOURCE, SLOW_SOURCE};
 
 fn start(cfg: ServeConfig) -> (Server, Arc<TelemetryRegistry>) {
@@ -257,4 +261,91 @@ fn graceful_shutdown_drains_in_flight_work() {
     assert!(!socket.exists(), "socket file is removed on join");
     let text = render_prometheus(&registry.snapshot());
     assert!(text.contains("instrep_serve_responses_ok 1"), "{text}");
+}
+
+fn report(c: &mut Client, req: &Request) -> ReportPayload {
+    match c.roundtrip(req) {
+        Response::Report(p) => p,
+        other => panic!("expected report, got {other:?}"),
+    }
+}
+
+#[test]
+fn idle_shutdown_returns_promptly() {
+    let (server, _registry) = start(ServeConfig::new(socket_path("svc-idle")));
+    // Let the accept loop settle into its idle poll.
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    let socket = server.socket().to_path_buf();
+    stop(server);
+    // An idle accept loop sees the flag within one poll interval.
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(250), "shutdown took {elapsed:?}");
+    assert!(!socket.exists(), "socket file is removed on join");
+}
+
+#[test]
+fn probe_requests_are_served_from_the_cache() {
+    let dir = scratch_dir("svc-probes");
+    let mut cfg = ServeConfig::new(socket_path("svc-probes"));
+    cfg.cache_dir = Some(dir.clone());
+    let (server, registry) = start(cfg);
+    let req = |id| Request::workload(id, "compress").seed(7).with_profile().with_loops();
+    let cold = report(&mut Client::connect(server.socket()), &req(1));
+    let warm = report(&mut Client::connect(server.socket()), &req(2));
+    // A plain request for the same job is its own entry.
+    let plain =
+        report(&mut Client::connect(server.socket()), &Request::workload(3, "compress").seed(7));
+    stop(server);
+
+    assert_eq!(cold.cache, CacheOutcome::Miss);
+    assert_eq!(warm.cache, CacheOutcome::Hit);
+    assert_eq!(plain.cache, CacheOutcome::Miss);
+    assert!(plain.profile.is_none() && plain.loops.is_none());
+    let text = render_prometheus(&registry.snapshot());
+    assert!(text.contains("instrep_cache_hit 1"), "{text}");
+    assert!(text.contains("instrep_cache_miss 2"), "{text}");
+
+    // Apart from `id` and `cache`, the hit is the miss byte for byte,
+    // and both are a direct Session run's documents.
+    let (skip, window) = scale_windows("tiny").unwrap();
+    let acfg = AnalysisConfig { skip, window, ..AnalysisConfig::default() };
+    let wl = instrep_workloads::by_name("compress").unwrap();
+    let direct = Session::new(acfg)
+        .profile(true)
+        .loops(true)
+        .run_one(&wl.build().unwrap(), wl.input(Scale::Tiny, 7))
+        .unwrap();
+    let expect = ReportPayload {
+        id: 0,
+        cache: CacheOutcome::Uncached,
+        report: report_json(&direct.report),
+        metrics: None,
+        profile: direct.profile.map(|p| profile_json(&p, acfg.top_k)),
+        loops: direct.loops.map(|l| loops_json(&l, acfg.top_k)),
+    };
+    for got in [cold, warm] {
+        let got = ReportPayload { id: 0, cache: CacheOutcome::Uncached, ..got };
+        assert_eq!(got, expect);
+    }
+    assert_eq!(plain.report, expect.report);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn shutdown_returns_when_the_socket_path_no_longer_reaches_the_daemon() {
+    let (server, _registry) = start(ServeConfig::new(socket_path("svc-unlinked")));
+    // Shutdown must not depend on reaching the daemon through its
+    // socket path: with the file removed the accept loop still sees the
+    // flag.
+    std::fs::remove_file(server.socket()).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop(server);
+        done_tx.send(()).unwrap();
+    });
+    assert!(
+        done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+        "shutdown hung after the socket file was removed"
+    );
 }

@@ -184,6 +184,31 @@ target/debug/instrep-repro --scale tiny --only compress --table 1 \
     echo "--cache-verify rejected an honest cache entry" >&2
     exit 1
 }
+# Probe outputs are cached with the report, under their own key: a warm
+# --profile-out run must write the cold run's profile (and the uncached
+# one above) byte for byte without simulating anything.
+for RUN in cold warm; do
+    target/debug/instrep-repro --scale tiny --only compress --table 1 \
+        --jobs 2 --cache-dir "$SMOKE_DIR/probe-cache" \
+        --profile-out "$SMOKE_DIR/profile-$RUN.json" \
+        --metrics-out "$SMOKE_DIR/profile-$RUN-metrics.json" >"$SMOKE_DIR/profile-$RUN.txt"
+    cmp -s "$SMOKE_DIR/plain.txt" "$SMOKE_DIR/profile-$RUN.txt" || {
+        echo "$RUN cached profile run perturbed table stdout" >&2
+        exit 1
+    }
+    cmp -s "$SMOKE_DIR/profile.json" "$SMOKE_DIR/profile-$RUN.json" || {
+        echo "$RUN cached profile differs from the uncached profile" >&2
+        exit 1
+    }
+done
+grep -q '"name": "measure"' "$SMOKE_DIR/profile-cold-metrics.json" || {
+    echo "cold cached profile run recorded no measure phase" >&2
+    exit 1
+}
+grep -q '"name": "measure"' "$SMOKE_DIR/profile-warm-metrics.json" && {
+    echo "warm cached profile run still executed a measure phase (probe entry not served)" >&2
+    exit 1
+}
 # Truncate every entry: damaged files must degrade to a silent miss.
 for f in "$CACHE_DIR"/*.bin; do head -c 16 "$f" >"$f.cut" && mv "$f.cut" "$f"; done
 target/debug/instrep-repro --scale tiny --only compress --table 1 \
@@ -330,6 +355,25 @@ grep -q '^cache: hit$' "$SMOKE_DIR/serve-warm.err" || {
 }
 cmp -s "$SMOKE_DIR/serve-cold.json" "$SMOKE_DIR/serve-warm.json" || {
     echo "cold and warm daemon reports are not byte-identical" >&2
+    exit 1
+}
+# Probe payloads are cached too: a repeated profile+loops request must
+# hit its own entry and print the same report, profile and loops.
+for RUN in 1 2; do
+    target/debug/examples/instrep_client --socket "$SERVE_SOCK" --workload compress \
+        --profile --loops >"$SMOKE_DIR/serve-probes$RUN.json" \
+        2>"$SMOKE_DIR/serve-probes$RUN.err"
+done
+grep -q '^cache: miss$' "$SMOKE_DIR/serve-probes1.err" || {
+    echo "first profile+loops daemon request did not miss (probe entry not keyed apart)" >&2
+    exit 1
+}
+grep -q '^cache: hit$' "$SMOKE_DIR/serve-probes2.err" || {
+    echo "repeated profile+loops daemon request did not hit the shared cache" >&2
+    exit 1
+}
+cmp -s "$SMOKE_DIR/serve-probes1.json" "$SMOKE_DIR/serve-probes2.json" || {
+    echo "cached profile+loops payloads differ from the first response" >&2
     exit 1
 }
 # Protocol edges over a raw socket: malformed JSON, an unknown schema
